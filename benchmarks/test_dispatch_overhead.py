@@ -5,8 +5,8 @@ Python interpreter drives the VM's predecoded handler stream
 (architectural instructions retired per wall-clock second), not
 anything the paper models.  They exist so a regression in the dispatch
 machinery — a handler growing an attribute lookup, the predecoder
-losing a fusion — shows up as a drop in dispatch rate even though every
-modeled number stays bit-identical.
+resolving less of an operand — shows up as a drop in dispatch rate even
+though every modeled number stays bit-identical.
 
 Run with ``pytest benchmarks/ --benchmark-only``; the rate appears in
 the ``insns_per_sec`` extra-info column.

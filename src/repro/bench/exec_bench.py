@@ -148,10 +148,6 @@ def measure_poly_workload(
     the only difference is ``REPRO_PIC`` — off relinks the monomorphic
     IC on every receiver change, on probes the bounded PIC and then the
     shared megamorphic table.
-
-    The skewed cells (one receiver dominates) get a third measurement:
-    pic on but ``REPRO_PIC_MRU=0``, isolating what the MRU promotion in
-    the lean megamorphic send buys when the mono probe keeps paying off.
     """
     from ..lang.parser import parse_doit
     from ..vm.runtime import Runtime
@@ -165,20 +161,11 @@ def measure_poly_workload(
     # probeTwice and its two inner probe sends, per slot per pass.
     ladder_sends = PASSES * VECTOR_SIZE * (PROBES_PER_SLOT + 3)
     row = {"name": name, "group": benchmark.group, "sends": ladder_sends}
-    skewed = name.endswith("-skew")
-    cells = [("pic_off", "0", None), ("pic_on", "1", None)]
-    if skewed:
-        cells.append(("pic_on_nomru", "1", "0"))
     previous_pic = os.environ.get("REPRO_PIC")
-    previous_mru = os.environ.get("REPRO_PIC_MRU")
     seconds = {}
     try:
-        for label, pic, mru in cells:
+        for label, pic in (("pic_off", "0"), ("pic_on", "1")):
             os.environ["REPRO_PIC"] = pic
-            if mru is None:
-                os.environ.pop("REPRO_PIC_MRU", None)
-            else:
-                os.environ["REPRO_PIC_MRU"] = mru
             world = World()
             world.add_slots(benchmark.setup_source)
             runtime = Runtime(world, config)
@@ -202,14 +189,10 @@ def measure_poly_workload(
                     )
                 )
     finally:
-        for var, previous in (
-            ("REPRO_PIC", previous_pic),
-            ("REPRO_PIC_MRU", previous_mru),
-        ):
-            if previous is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = previous
+        if previous_pic is None:
+            os.environ.pop("REPRO_PIC", None)
+        else:
+            os.environ["REPRO_PIC"] = previous_pic
     row["pic_off_seconds"] = seconds["pic_off"]
     row["pic_on_seconds"] = seconds["pic_on"]
     row["pic_speedup"] = (
@@ -219,13 +202,6 @@ def measure_poly_workload(
     )
     row["per_send_ns_on"] = seconds["pic_on"] / ladder_sends * 1e9
     row["per_send_ns_off"] = seconds["pic_off"] / ladder_sends * 1e9
-    if skewed:
-        row["pic_on_nomru_seconds"] = seconds["pic_on_nomru"]
-        row["mru_speedup"] = (
-            seconds["pic_on_nomru"] / seconds["pic_on"]
-            if seconds["pic_on"] > 0
-            else 0.0
-        )
     return row
 
 
@@ -256,11 +232,6 @@ def run_poly(
             min(r["pic_speedup"] for r in mega_rows) if mega_rows else 0.0
         ),
     }
-    skew_rows = [r for r in rows if "mru_speedup" in r]
-    if skew_rows:
-        summary["skew_min_mru_speedup"] = min(
-            r["mru_speedup"] for r in skew_rows
-        )
     # Per-send flatness across the megamorphic range: the table makes
     # dispatch O(1) in N, so N=8 -> N=128 should cost the same per send.
     if "poly8" in by_name and "poly128" in by_name:
@@ -394,11 +365,6 @@ def main(argv: Optional[list] = None) -> int:
     poly = payload.get("poly")
     if poly:
         for row in poly["workloads"]:
-            mru = (
-                f"  mru={row['mru_speedup']:5.2f}x"
-                if "mru_speedup" in row
-                else ""
-            )
             print(
                 f"{row['name']:13} pic_off={row['pic_off_seconds'] * 1e3:8.2f}ms  "
                 f"pic_on={row['pic_on_seconds'] * 1e3:8.2f}ms  "
@@ -406,7 +372,6 @@ def main(argv: Optional[list] = None) -> int:
                 f"per_send={row['per_send_ns_on']:6.0f}ns  "
                 f"(mega {row['mega_transitions']} transitions, "
                 f"{row['mega_table_hits']} table hits)"
-                f"{mru}"
             )
         print(
             "poly megamorphic min pic speedup: "
@@ -414,11 +379,6 @@ def main(argv: Optional[list] = None) -> int:
             "per-send N=8 -> N=128 ratio: "
             f"{poly.get('per_send_ratio_8_to_128', 0.0):.2f}"
         )
-        if "skew_min_mru_speedup" in poly:
-            print(
-                "poly skew min mru speedup: "
-                f"{poly['skew_min_mru_speedup']:.2f}x"
-            )
     if args.history:
         from .history import append_history, format_delta
 

@@ -11,7 +11,7 @@ host overhead.  The registry therefore plays two roles:
   namespace after (or during) a run — :func:`registry_for_runtime`
   produces the unified view: ``compiler.*`` effort/effect stats,
   ``vm.*`` execution measurements, ``ic.*`` inline-cache accounting,
-  ``dispatch.*`` predecode/superinstruction counts, ``translate.*``
+  ``dispatch.*`` predecode counts, ``translate.*``
   translation-tier accounting, ``tiers.*`` degradations,
   ``invalidation.*`` dependency/invalidation accounting, and
   ``faults.*`` injection hits.

@@ -110,9 +110,10 @@ class Code:
     ) -> None:
         self.name = name
         self.insns = insns
-        #: the predecoded, superinstruction-fused stream the VM actually
-        #: executes (see :mod:`.dispatch`); ``insns`` is kept as the
-        #: architectural listing for tests, sizing, and disassembly.
+        #: the predecoded stream the VM actually executes (see
+        #: :mod:`.dispatch`), index-aligned with ``insns``, which is kept
+        #: as the architectural listing for tests, sizing, and
+        #: disassembly.
         self.threaded = threaded
         self.consts = consts
         self.reg_count = reg_count
@@ -177,7 +178,7 @@ class Code:
         return "\n".join(lines)
 
     def disassemble_threaded(self) -> str:
-        """Listing of the predecoded/fused stream the VM executes."""
+        """Listing of the predecoded stream the VM executes."""
         from .dispatch import disassemble_threaded
 
         return disassemble_threaded(self.threaded)

@@ -114,16 +114,16 @@ class _Codegen:
         self._apply_fixups()
         if faults.ENABLED and faults.hit(faults.SITE_VM_CODEGEN):
             # Corrupt mode: a jump to a nonexistent instruction.  The
-            # predecode target remap below must reject the stream.
+            # predecode branch-target range check below must reject the
+            # stream.
             self.insns.append([op.JUMP, len(self.insns) + 1])
         size = sum(self.model.instruction_bytes(i[0]) for i in self.insns)
         size += self.model.method_overhead_bytes
         insns = [tuple(i) for i in self.insns]
         self_reg = self.reg(self.graph.self_var)
         arg_regs = tuple(self.reg(v) for v in self.graph.arg_vars)
-        # The peephole/predecode pass: resolve pools, bake static cycles,
-        # and fuse hot adjacent pairs.  Sizing above uses the unfused
-        # stream, so ``size_bytes`` is independent of fusion.
+        # The predecode pass: resolve pools and bake static cycles, one
+        # threaded slot per instruction (sizing above reads ``insns``).
         threaded = predecode(insns, self.consts, self.ic_sites, self.model)
         return Code(
             name=self.graph.selector or "<doit>",

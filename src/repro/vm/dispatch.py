@@ -1,4 +1,4 @@
-"""Token-threaded dispatch: predecoded instructions and superinstructions.
+"""Token-threaded dispatch: one predecoded slot per instruction.
 
 The VM used to rediscover every opcode with a long ``if/elif`` walk and
 call :meth:`CostModel.instruction_cycles` once per executed instruction.
@@ -11,16 +11,13 @@ where
 * constant-pool indices are resolved to the actual objects (constants,
   block templates, inline-cache sites, primitive functions),
 * the static cost-model cycles and the architectural instruction count
-  are precomputed (elements 1 and 2), so the hot loop adds two ints per
-  dispatch instead of consulting the cost model.
+  (always 1) are precomputed (elements 1 and 2), so the hot loop adds
+  two ints per dispatch instead of consulting the cost model.
 
-A peephole pass fuses hot adjacent pairs (``MOVE``+``MOVE`` chains,
-``LOADK``+``ADD_OV``, type tests feeding bounds checks, compare-into-
-branch forms are already single instructions) into **superinstructions**
-whose modeled cycle count and instruction count are defined as exactly
-the sum of their parts — ``runtime.cycles``, ``runtime.instructions``
-and ``code_bytes`` stay bit-identical to the unfused stream; the win is
-pure host wall-clock.
+The stream is index-aligned with ``Code.insns``: slot *i* is
+instruction *i*, so branch operands pass through unchanged and a
+``frame.pc`` means the same thing in the architectural listing, the
+threaded stream and the translated tier (:mod:`.emit`).
 
 Handler protocol::
 
@@ -34,11 +31,6 @@ handler returns the next index, or a negative sentinel:
   or finishes the run segment.
 * ``NLR_SIGNAL`` (-3): a non-local return is in flight; the outer loop
   (which knows the segment base) unwinds or re-raises.
-
-Fusion correctness: an instruction is only absorbed as the *second*
-half of a superinstruction when no branch targets it, and a suspending
-instruction (``SEND``) is never the *first* half — resuming the frame
-after the callee returns would skip the second half.
 """
 
 from __future__ import annotations
@@ -384,8 +376,6 @@ def _pic_note(vm, site, receiver_map, map_id, action):
         if row[0] is receiver_map:
             return
     if len(pic) >= vm.pic_depth:
-        if not vm.mega_table_enabled:
-            return  # bounded PIC only: extra maps keep relinking
         vm.mega_transitions += 1
         table = vm.mega_tables.setdefault(site.selector, {})
         deps = vm.mega_deps.setdefault(site.selector, {})
@@ -538,177 +528,6 @@ def _do_error(vm, frame, regs, insn, pc):
 
 
 # ---------------------------------------------------------------------------
-# Superinstruction handlers
-# ---------------------------------------------------------------------------
-# Fused operand layouts are the concatenation of the two halves'
-# single-instruction layouts (still starting at index 3); the modeled
-# cycle count (insn[1]) and instruction count (insn[2]) are the sums of
-# the parts, so the cost model cannot observe fusion.
-
-
-def _f_move_move(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    regs[insn[5]] = regs[insn[6]]
-    return pc
-
-
-def _f_move_move_move(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    regs[insn[5]] = regs[insn[6]]
-    regs[insn[7]] = regs[insn[8]]
-    return pc
-
-
-def _f_move_loadk(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    regs[insn[5]] = insn[6]
-    return pc
-
-
-def _f_loadk_move(vm, frame, regs, insn, pc):
-    regs[insn[3]] = insn[4]
-    regs[insn[5]] = regs[insn[6]]
-    return pc
-
-
-def _f_move_typetest(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    return pc if vm._map_of(regs[insn[5]]) is insn[6] else insn[7]
-
-
-def _f_loadk_typetest(vm, frame, regs, insn, pc):
-    regs[insn[3]] = insn[4]
-    return pc if vm._map_of(regs[insn[5]]) is insn[6] else insn[7]
-
-
-def _skip_second(vm, insn):
-    """The first half branched away: the architectural stream never
-    executed the second half, so refund its pre-charged cost.  (The
-    outer loop charges the fused sum before dispatch; this runs only on
-    the out-of-line path, keeping the fallthrough path charge-free.)"""
-    vm.cycles -= insn[-1]
-    vm.instructions -= 1
-
-
-def _f_typetest_move(vm, frame, regs, insn, pc):
-    if vm._map_of(regs[insn[3]]) is not insn[4]:
-        _skip_second(vm, insn)
-        return insn[5]
-    regs[insn[6]] = regs[insn[7]]
-    return pc
-
-
-def _f_typetest_typetest(vm, frame, regs, insn, pc):
-    if vm._map_of(regs[insn[3]]) is not insn[4]:
-        _skip_second(vm, insn)
-        return insn[5]
-    return pc if vm._map_of(regs[insn[6]]) is insn[7] else insn[8]
-
-
-def _f_typetest_bounds(vm, frame, regs, insn, pc):
-    if vm._map_of(regs[insn[3]]) is not insn[4]:
-        _skip_second(vm, insn)
-        return insn[5]
-    vector = regs[insn[6]]
-    index = regs[insn[7]]
-    if type(index) is not int or index < 0 or index >= len(vector.elements):
-        return insn[8]
-    return pc
-
-
-def _f_bounds_aload(vm, frame, regs, insn, pc):
-    vector = regs[insn[3]]
-    index = regs[insn[4]]
-    if type(index) is not int or index < 0 or index >= len(vector.elements):
-        _skip_second(vm, insn)
-        return insn[5]
-    regs[insn[6]] = regs[insn[7]].elements[regs[insn[8]]]
-    return pc
-
-
-def _f_bounds_astore(vm, frame, regs, insn, pc):
-    vector = regs[insn[3]]
-    index = regs[insn[4]]
-    if type(index) is not int or index < 0 or index >= len(vector.elements):
-        _skip_second(vm, insn)
-        return insn[5]
-    regs[insn[6]].elements[regs[insn[7]]] = regs[insn[8]]
-    return pc
-
-
-def _f_move_jump(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    return insn[5]
-
-
-def _f_addov_move(vm, frame, regs, insn, pc):
-    result = regs[insn[4]] + regs[insn[5]]
-    if SMALLINT_MIN <= result <= SMALLINT_MAX:
-        regs[insn[3]] = result
-        regs[insn[8]] = regs[insn[9]]
-        return pc
-    regs[insn[6]] = "overflowError"
-    _skip_second(vm, insn)
-    return insn[7]
-
-
-def _f_subov_move(vm, frame, regs, insn, pc):
-    result = regs[insn[4]] - regs[insn[5]]
-    if SMALLINT_MIN <= result <= SMALLINT_MAX:
-        regs[insn[3]] = result
-        regs[insn[8]] = regs[insn[9]]
-        return pc
-    regs[insn[6]] = "overflowError"
-    _skip_second(vm, insn)
-    return insn[7]
-
-
-def _f_loadk_addov(vm, frame, regs, insn, pc):
-    regs[insn[3]] = insn[4]
-    result = regs[insn[6]] + regs[insn[7]]
-    if SMALLINT_MIN <= result <= SMALLINT_MAX:
-        regs[insn[5]] = result
-        return pc
-    regs[insn[8]] = "overflowError"
-    return insn[9]
-
-
-def _f_loadslot_move(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]].data[insn[5]]
-    regs[insn[6]] = regs[insn[7]]
-    return pc
-
-
-def _f_move_return(vm, frame, regs, insn, pc):
-    regs[insn[3]] = regs[insn[4]]
-    value = regs[insn[5]]
-    frame.alive = False
-    frames = vm.frames
-    frames.pop()
-    vm._ret_value = value
-    if frames:
-        ret_reg = frame.ret_reg
-        if ret_reg >= 0:
-            frames[-1].regs[ret_reg] = value
-    return REDISPATCH
-
-
-def _f_move_send(vm, frame, regs, insn, pc):
-    # (..., dst, src, <embedded SEND tuple>)
-    regs[insn[3]] = regs[insn[4]]
-    return _do_send(vm, frame, regs, insn[5], pc)
-
-
-def _f_typetest_send(vm, frame, regs, insn, pc):
-    if vm._map_of(regs[insn[3]]) is not insn[4]:
-        # Refund the embedded SEND's pre-charged static cost.
-        vm.cycles -= insn[6][1]
-        vm.instructions -= 1
-        return insn[5]
-    return _do_send(vm, frame, regs, insn[6], pc)
-
-
-# ---------------------------------------------------------------------------
 # Predecoding
 # ---------------------------------------------------------------------------
 
@@ -743,113 +562,41 @@ _SIMPLE_HANDLERS = {
     op.RETURN: _do_return,
 }
 
-#: (first opcode, second opcode) -> fused handler.  Chosen from dynamic
-#: pair frequencies over the benchmark suite: MOVE+MOVE alone is ~25% of
-#: executed transitions, MOVE+TYPETEST ~11%, TYPETEST+MOVE ~7%.
-_PAIR_RULES = {
-    (op.MOVE, op.MOVE): _f_move_move,
-    (op.MOVE, op.LOADK): _f_move_loadk,
-    (op.LOADK, op.MOVE): _f_loadk_move,
-    (op.MOVE, op.TYPETEST): _f_move_typetest,
-    (op.LOADK, op.TYPETEST): _f_loadk_typetest,
-    (op.TYPETEST, op.MOVE): _f_typetest_move,
-    (op.TYPETEST, op.TYPETEST): _f_typetest_typetest,
-    (op.TYPETEST, op.BOUNDS): _f_typetest_bounds,
-    (op.BOUNDS, op.ALOAD): _f_bounds_aload,
-    (op.BOUNDS, op.ASTORE): _f_bounds_astore,
-    (op.MOVE, op.JUMP): _f_move_jump,
-    (op.ADD_OV, op.MOVE): _f_addov_move,
-    (op.SUB_OV, op.MOVE): _f_subov_move,
-    (op.LOADK, op.ADD_OV): _f_loadk_addov,
-    (op.LOADSLOT, op.MOVE): _f_loadslot_move,
-    (op.MOVE, op.RETURN): _f_move_return,
-    (op.MOVE, op.SEND): _f_move_send,
-    (op.TYPETEST, op.SEND): _f_typetest_send,
-}
-
-#: rules whose second half keeps its own full predecoded tuple embedded
-#: (the fused handler tail-calls the second half's handler).
-_EMBED_SECOND = {_f_move_send, _f_typetest_send}
-
-#: rules whose *first* half can branch away (failed type test, failed
-#: bounds check, overflow).  The architectural stream never executes the
-#: second half on that path, so the predecoder appends the second half's
-#: static cycle cost as the final operand and the handler refunds it
-#: (see :func:`_skip_second`).
-_REFUND_SECOND = {
-    _f_typetest_move, _f_typetest_typetest, _f_typetest_bounds,
-    _f_bounds_aload, _f_bounds_astore, _f_addov_move, _f_subov_move,
-}
-
 
 def predecode(insns, consts, ic_sites, model):
     """Translate a code object's tuple instructions into the threaded
     stream executed by :meth:`Runtime._loop`.
 
-    Returns a list of predecoded tuples.  Branch targets are remapped to
-    indices in the new stream; fusion never absorbs a branch target, so
-    every target still heads an instruction.
+    Returns one predecoded tuple per instruction, index-aligned with
+    ``insns``, so branch operands pass through unchanged.  Every branch
+    target is checked to lie inside the stream: a wild jump is rejected
+    here, at code installation, rather than when it is taken.
     """
     cycle_table = model.static_cycle_table()
     n = len(insns)
-    corrupted = faults.ENABLED and faults.hit(faults.SITE_VM_PREDECODE)
+    # Corrupt mode: a wild write pushes every branch target past the end
+    # of the stream; the range check below rejects it.
+    skew = n if faults.ENABLED and faults.hit(faults.SITE_VM_PREDECODE) else 0
 
-    targets = set()
-    for insn in insns:
-        pos = op.BRANCH_OPERANDS.get(insn[0])
-        if pos is not None:
-            target = insn[pos]
-            if isinstance(target, int) and target >= 0:
-                targets.add(target)
+    def target(t):
+        t += skew
+        if not 0 <= t < n:
+            raise VMError(f"branch target {t} outside a stream of {n}")
+        return t
 
-    # Phase 1: greedy left-to-right segmentation into superinstructions.
-    segments = []  # (old_index, length, fused handler or None)
-    i = 0
-    while i < n:
-        opcode = insns[i][0]
-        if (
-            opcode == op.MOVE
-            and i + 2 < n
-            and insns[i + 1][0] == op.MOVE
-            and insns[i + 2][0] == op.MOVE
-            and i + 1 not in targets
-            and i + 2 not in targets
-        ):
-            segments.append((i, 3, _f_move_move_move))
-            i += 3
-            continue
-        rule = None
-        if i + 1 < n and i + 1 not in targets and opcode not in op.SUSPENDING:
-            rule = _PAIR_RULES.get((opcode, insns[i + 1][0]))
-        if rule is not None:
-            segments.append((i, 2, rule))
-            i += 2
-        else:
-            segments.append((i, 1, None))
-            i += 1
-
-    # Phase 2: old index -> new index, for branch-target remapping.
-    remap = {old: new for new, (old, _, _) in enumerate(segments)}
-    if corrupted:
-        # Corrupt mode: the target-translation table is trashed; any
-        # branch below fails remapping (caught at code installation).
-        remap = {}
-
-    # Phase 3: emit.
     def decode_one(insn):
         opcode = insn[0]
         cycles = cycle_table[opcode]
         handler = _SIMPLE_HANDLERS.get(opcode)
         if handler is not None:
-            operands = list(insn[1:])
             pos = op.BRANCH_OPERANDS.get(opcode)
-            if pos is not None:
-                operands[pos - 1] = remap[insn[pos]]
+            if pos is None:
+                return (handler, cycles, 1, *insn[1:])
+            operands = list(insn[1:])
+            operands[pos - 1] = target(insn[pos])
             return (handler, cycles, 1, *operands)
         if opcode == op.LOADK:
             return (_do_loadk, cycles, 1, insn[1], consts[insn[2]])
-        if opcode == op.TYPETEST:  # pragma: no cover - in _SIMPLE_HANDLERS
-            raise VMError("unreachable")
         if opcode == op.MAKE_BLOCK:
             block_node, template = consts[insn[2]]
             return (_do_make_block, cycles, 1, insn[1], block_node, template, insn[3])
@@ -867,7 +614,7 @@ def predecode(insns, consts, ic_sites, model):
 
             dst, primitive, recv, arg_regs, err_reg, fail_target = insn[1:7]
             selector = primitive.selector
-            fail_target = remap[fail_target] if (
+            fail_target = target(fail_target) if (
                 fail_target is not None and fail_target >= 0
             ) else -1
             if selector == "_Clone" or selector == "_NewVector:Filler:":
@@ -892,40 +639,7 @@ def predecode(insns, consts, ic_sites, model):
             return (_do_error, cycles, 1, insn[1], insn[2], insn[3])
         raise VMError(f"cannot predecode opcode {op.op_name(opcode)}")
 
-    out = []
-    for old, length, fused in segments:
-        parts = [decode_one(insns[old + k]) for k in range(length)]
-        if fused is None:
-            out.append(parts[0])
-            continue
-        cycles = sum(p[1] for p in parts)
-        count = sum(p[2] for p in parts)
-        if fused in _EMBED_SECOND:
-            out.append((fused, cycles, count, *parts[0][3:], parts[1]))
-        else:
-            operands = [x for p in parts for x in p[3:]]
-            if fused in _REFUND_SECOND:
-                operands.append(parts[1][1])
-            out.append((fused, cycles, count, *operands))
-    return out
-
-
-def superinstruction_stats(threaded) -> dict:
-    """Fusion accounting for one predecoded stream.
-
-    ``slots`` counts threaded tuples; a slot whose architectural
-    instruction count (``insn[2]``) exceeds one is a fused
-    superinstruction, and each extra counted instruction is one slot
-    the fusion absorbed.
-    """
-    fused = 0
-    absorbed = 0
-    for insn in threaded:
-        count = insn[2]
-        if count > 1:
-            fused += 1
-            absorbed += count - 1
-    return {"slots": len(threaded), "fused": fused, "absorbed": absorbed}
+    return [decode_one(insn) for insn in insns]
 
 
 def disassemble_threaded(threaded) -> str:

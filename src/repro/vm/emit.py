@@ -1,8 +1,8 @@
 """Source emission for the translated tier: threaded stream -> Python.
 
-:func:`emit_source` walks one predecoded, superinstruction-fused stream
-(:func:`~.dispatch.predecode`'s output) and generates the source of one
-specialized host function for the whole body.  Where the threaded loop
+:func:`emit_source` walks one predecoded stream (:func:`~.dispatch.predecode`'s
+output, one slot per architectural instruction) and generates the
+source of one specialized host function for the whole body.  Where the threaded loop
 pays one indexed load plus one call per instruction, the translated
 function is straight-line code: handler bodies are inlined in stream
 order, and control flow is lowered to a dispatch-free jump-label scheme
@@ -10,16 +10,16 @@ order, and control flow is lowered to a dispatch-free jump-label scheme
 ::
 
     while True:
-        if _l == 0:          # labels are threaded-stream indices
+        if _l == 0:          # labels are instruction indices
             ...straight-line handler bodies...
             _l = 12          # a taken branch: set the label,
             continue         # re-enter the chain
         elif _l == 12:
             ...
 
-**Labels are threaded indices.**  The label set is ``{0}`` plus every
-branch target plus the index after every suspending (SEND-family)
-instruction, so ``frame.pc`` means the same thing in both
+**Labels are instruction indices.**  The label set is ``{0}`` plus every
+branch target plus the index after every SEND (which suspends the frame
+when it pushes a callee), so ``frame.pc`` means the same thing in both
 representations and the fallback PC mapping is the identity: a frame
 suspended by a translated SEND can resume in the threaded loop (and
 vice versa) at any activation boundary — this is what makes
@@ -45,15 +45,18 @@ unwinding and its registers are unobservable.
 **Modeled counters** are compiled in only when requested.  With
 ``counters=True`` every instruction charges its precomputed static cost
 (``_cyc += c; _n += k``) into locals flushed by a ``try/finally`` —
-bit-identical to the threaded loop's accounting, including the fused
-refund paths and exception exits.  With ``counters=False``
+bit-identical to the threaded loop's accounting, including exception
+exits.  A MOVE's or LOADK's cost is carried forward into the next
+charge statement of its block (their lowerings emit no branch, raise
+or call, so no exit can observe the delay): a register-move chain
+costs one ``_cyc +=`` statement, not one per move.  With ``counters=False``
 (``REPRO_MODELED_COUNTERS=0``) all accounting is elided from the
 generated source: the modeled measurements of translated bodies become
 meaningless, and the win is raw wall-clock.
 
 **Constants** (IC sites, maps, block templates, primitive functions)
 are not baked into the source; each is referenced as ``_K[i]`` and the
-emitter returns the *paths* ``(stream_index, operand, ...)`` that
+emitter returns the *paths* ``(stream_index[, operand])`` that
 locate them in the threaded stream.  The same compiled factory is
 therefore reusable across share clones (congruent re-predecoded
 streams over the same ``insns`` list): only the cheap constant
@@ -120,25 +123,6 @@ from .dispatch import (
     _do_sub,
     _do_sub_ov,
     _do_typetest,
-    _f_addov_move,
-    _f_bounds_aload,
-    _f_bounds_astore,
-    _f_loadk_addov,
-    _f_loadk_move,
-    _f_loadk_typetest,
-    _f_loadslot_move,
-    _f_move_jump,
-    _f_move_loadk,
-    _f_move_move,
-    _f_move_move_move,
-    _f_move_return,
-    _f_move_send,
-    _f_move_typetest,
-    _f_subov_move,
-    _f_typetest_bounds,
-    _f_typetest_move,
-    _f_typetest_send,
-    _f_typetest_typetest,
     _send_action,
     _send_miss,
 )
@@ -213,12 +197,12 @@ class _Ctx:
     __slots__ = (
         "threaded", "counters", "universe", "lines", "depth",
         "paths", "_path_index", "guards", "alias", "live_in",
-        "profiling", "pic", "mru", "cur", "site_locals",
+        "profiling", "pic", "cur", "site_locals", "pending",
     )
 
     def __init__(self, threaded, counters: bool, universe=None,
                  live_in=None, profiling: bool = False,
-                 pic: bool = False, mru: bool = True) -> None:
+                 pic: bool = False) -> None:
         self.threaded = threaded
         self.counters = counters
         #: emit profiler tick hooks (activation ticks at the trampoline,
@@ -231,12 +215,6 @@ class _Ctx:
         #: pre-ladder emission (everything cold goes through
         #: ``_send_miss``) so modeled accounting stays bit-identical
         self.pic = pic
-        #: MRU promotion in lean sends (REPRO_PIC_MRU): a megamorphic-
-        #: table hit re-installs its row as the site's mono entry, so a
-        #: skewed receiver distribution rides the one-compare mono
-        #: probe between receiver changes instead of hashing the table
-        #: on every send.  Lean mode only; affects no modeled number.
-        self.mru = mru
         #: stream index of the instruction currently being emitted
         #: (maintained by emit_source's pass 1; a goto to ``<= cur`` is
         #: a backward branch)
@@ -266,6 +244,9 @@ class _Ctx:
         #: constant path to the local's name; empty outside lean mode,
         #: keeping non-lean emission byte-identical to a PIC-off build.
         self.site_locals: dict[tuple, str] = {}
+        #: counters mode: ``(cycles, count)`` of the MOVE/LOADK run not
+        #: yet charged — carried into the block's next charge statement
+        self.pending = (0, 0)
 
     def guard(self, path: tuple, value) -> None:
         self.guards.append((path, value))
@@ -288,12 +269,13 @@ class _Ctx:
         self.site_locals[path] = name
         return name
 
-    def operand(self, base: tuple, j: int) -> str:
-        """An operand expression: inline literal or constant-pool slot."""
-        value = extract_constant(self.threaded, base + (j,))
+    def operand(self, i: int, j: int) -> str:
+        """Operand ``j`` of slot ``i``: inline literal or constant-pool
+        slot."""
+        value = self.threaded[i][j]
         if _is_literal(value):
             return repr(value)
-        return self.konst(*(base + (j,)))
+        return self.konst(i, j)
 
     # -- move propagation ---------------------------------------------------
 
@@ -348,17 +330,28 @@ class _Ctx:
     # -----------------------------------------------------------------------
 
     def charge(self, insn) -> None:
-        if self.counters:
-            if insn[1]:
-                self.w(f"_cyc += {insn[1]}; _n += {insn[2]}")
-            else:
-                self.w(f"_n += {insn[2]}")
+        """Charge ``insn``'s static cost before its lowering.
 
-    def refund(self, cycles: int) -> None:
-        """Mirror :func:`~.dispatch._skip_second`: the first half of a
-        fused pair branched away, refund the second half's pre-charge."""
+        A MOVE's or LOADK's cost is carried forward into the next charge
+        statement instead: their lowerings emit no branch, raise or
+        call, so no exit lies between them and that statement and the
+        totals stay exact.  A fallthrough into a label, which ends the
+        block, pays the carried cost with :meth:`flush_charge`.
+        """
         if self.counters:
-            self.w(f"_cyc -= {cycles}; _n -= 1")
+            cycles, count = self.pending
+            self.pending = (cycles + insn[1], count + insn[2])
+            if insn[0] is not _do_move and insn[0] is not _do_loadk:
+                self.flush_charge()
+
+    def flush_charge(self) -> None:
+        cycles, count = self.pending
+        if count:
+            self.pending = (0, 0)
+            if cycles:
+                self.w(f"_cyc += {cycles}; _n += {count}")
+            else:
+                self.w(f"_n += {count}")
 
     def goto(self, target: int) -> None:
         # A taken control transfer is observable: the target block (in
@@ -477,98 +470,6 @@ def _lv_primcall(i):
     return (((i[5],) + tuple(i[6]), (), targets), ((), (i[3],), ())), True
 
 
-def _lv_f_move_move(i):
-    return (((i[4],), (i[3],), ()), ((i[6],), (i[5],), ())), True
-
-
-def _lv_f_move_move_move(i):
-    return (
-        ((i[4],), (i[3],), ()),
-        ((i[6],), (i[5],), ()),
-        ((i[8],), (i[7],), ()),
-    ), True
-
-
-def _lv_f_move_loadk(i):
-    return (((i[4],), (i[3],), ()), ((), (i[5],), ())), True
-
-
-def _lv_f_loadk_move(i):
-    return (((), (i[3],), ()), ((i[6],), (i[5],), ())), True
-
-
-def _lv_f_move_typetest(i):
-    return (((i[4],), (i[3],), ()), ((i[5],), (), (i[7],))), True
-
-
-def _lv_f_loadk_typetest(i):
-    return (((), (i[3],), ()), ((i[5],), (), (i[7],))), True
-
-
-def _lv_f_typetest_move(i):
-    return (((i[3],), (), (i[5],)), ((i[7],), (i[6],), ())), True
-
-
-def _lv_f_typetest_typetest(i):
-    return (((i[3],), (), (i[5],)), ((i[6],), (), (i[8],))), True
-
-
-def _lv_f_typetest_bounds(i):
-    return (((i[3],), (), (i[5],)), ((i[6], i[7]), (), (i[8],))), True
-
-
-def _lv_f_bounds_aload(i):
-    return (((i[3], i[4]), (), (i[5],)), ((i[7], i[8]), (i[6],), ())), True
-
-
-def _lv_f_bounds_astore(i):
-    return (((i[3], i[4]), (), (i[5],)), ((i[6], i[7], i[8]), (), ())), True
-
-
-def _lv_f_move_jump(i):
-    return (((i[4],), (i[3],), ()), ((), (), (i[5],))), False
-
-
-def _lv_f_addov_move(i):
-    return (
-        ((i[4], i[5]), (), (i[7],)),
-        ((), (i[3],), ()),
-        ((i[9],), (i[8],), ()),
-    ), True
-
-
-def _lv_f_loadk_addov(i):
-    return (
-        ((), (i[3],), ()),
-        ((i[6], i[7]), (), (i[9],)),
-        ((), (i[5],), ()),
-    ), True
-
-
-def _lv_f_loadslot_move(i):
-    return (((i[4],), (i[3],), ()), ((i[7],), (i[6],), ())), True
-
-
-def _lv_f_move_return(i):
-    return (((i[4],), (i[3],), ()), ((i[5],), (), ())), False
-
-
-def _lv_f_move_send(i):
-    e = i[5]
-    return (
-        ((i[4],), (i[3],), ()),
-        ((e[5],) + tuple(e[6]), (e[3],), ()),
-    ), True
-
-
-def _lv_f_typetest_send(i):
-    e = i[6]
-    return (
-        ((i[3],), (), (i[5],)),
-        ((e[5],) + tuple(e[6]), (e[3],), ()),
-    ), True
-
-
 def _analyze_liveness(threaded):
     """Backward fixpoint of live registers per stream index.
 
@@ -608,23 +509,8 @@ def _analyze_liveness(threaded):
 
 
 # ---------------------------------------------------------------------------
-# Shared lowering fragments (composed by the per-handler emitters)
+# Lowering helpers, and the long SEND and PRIMCALL lowerings
 # ---------------------------------------------------------------------------
-
-
-def _loadk(c, base, dst, j):
-    value = c.operand(base, j)
-    c.w(f"{c.wr(dst)} = {value}")
-
-
-def _cmp(c, sym, a, b, target):
-    # ``not (a < b)`` rather than ``a >= b``: exact for unordered
-    # operands (guest floats), mirroring the handler's conditional.
-    a_e, b_e = c.rd(a), c.rd(b)
-    c.w(f"if not ({a_e} {sym} {b_e}):")
-    c.depth += 1
-    c.goto(target)
-    c.depth -= 1
 
 
 #: well-known-map kinds whose instances are bare host values with a
@@ -642,7 +528,7 @@ _WK_HOST_TYPES = {
 _ATTR_CLASSES = {"block": "_SelfBlock", "vector": "_SelfVector"}
 
 
-def _map_mismatch(c, base, reg, map_j) -> str:
+def _map_mismatch(c, i, reg, map_j) -> str:
     """The condition for "``regs[reg]``'s map is not the tested map".
 
     Without a universe this is the handler's literal form.  With one,
@@ -655,8 +541,8 @@ def _map_mismatch(c, base, reg, map_j) -> str:
     expr = c.rd(reg)
     uni = c.universe
     if uni is not None:
-        path = base + (map_j,)
-        tested = extract_constant(c.threaded, path)
+        path = (i, map_j)
+        tested = c.threaded[i][map_j]
         kind = getattr(tested, "kind", None)
         host_type = _WK_HOST_TYPES.get(kind)
         if host_type is not None and tested is getattr(
@@ -668,79 +554,12 @@ def _map_mismatch(c, base, reg, map_j) -> str:
         cls = _ATTR_CLASSES.get(kind, "_SelfObject")
         return (
             f"({expr}.map if {expr}.__class__ is {cls} "
-            f"else _map_of({expr})) is not {c.operand(base, map_j)}"
+            f"else _map_of({expr})) is not {c.operand(i, map_j)}"
         )
-    return f"_map_of({expr}) is not {c.operand(base, map_j)}"
+    return f"_map_of({expr}) is not {c.operand(i, map_j)}"
 
 
-def _typetest(c, base, reg, map_j, target, refund_cycles=None):
-    c.w(f"if {_map_mismatch(c, base, reg, map_j)}:")
-    c.depth += 1
-    if refund_cycles is not None:
-        c.refund(refund_cycles)
-    c.goto(target)
-    c.depth -= 1
-
-
-def _bounds(c, arr, idx, target, refund_cycles=None):
-    idx_e, arr_e = c.rd(idx), c.rd(arr)
-    c.w(f"_i = {idx_e}")
-    c.w(
-        f"if type(_i) is not int or _i < 0 "
-        f"or _i >= len({arr_e}.elements):"
-    )
-    c.depth += 1
-    if refund_cycles is not None:
-        c.refund(refund_cycles)
-    c.goto(target)
-    c.depth -= 1
-
-
-def _arith_ov(c, sym, dst, a, b, err, target, second=None, refund_cycles=None):
-    """ADD_OV/SUB_OV/MUL_OV (optionally fused with a trailing MOVE)."""
-    a_e, b_e = c.rd(a), c.rd(b)
-    c.w(f"_t = {a_e} {sym} {b_e}")
-    c.w(f"if {SMALLINT_MIN} <= _t <= {SMALLINT_MAX}:")
-    c.depth += 1
-    pre = c.snapshot()
-    c.w(f"{c.wr(dst)} = _t")
-    if second is not None:
-        c.defer_move(second[0], second[1])
-    c.depth -= 1
-    post = c.snapshot()
-    c.restore(pre)
-    c.w("else:")
-    c.depth += 1
-    c.w(f"{c.wr(err)} = 'overflowError'")
-    if refund_cycles is not None:
-        c.refund(refund_cycles)
-    c.goto(target)
-    c.depth -= 1
-    c.restore(post)
-
-
-def _return_protocol(c, src):
-    # The frame is finished: deferred stores die with it, only the
-    # result register is read (substituted).  The caller's own
-    # ``regs[ret_reg]`` write is physical in both tiers.
-    src_e = c.rd(src)
-    c.w(f"_t = {src_e}")
-    c.w("frame.alive = False")
-    c.w("_F.pop()")
-    c.w("vm._ret_value = _t")
-    c.w("if _F:")
-    c.depth += 1
-    c.w("_r = frame.ret_reg")
-    c.w("if _r >= 0:")
-    c.depth += 1
-    # A frame at a run-segment boundary always has ret_reg -1, so this
-    # never writes into an outer segment's frame (see _do_return).
-    c.w("_F[-1].regs[_r] = _t")
-    c.depth -= 2
-    c.w("return -1")
-
-
-def _send_core(c, insn, resume, base):
+def _em_send(c, insn, i, resume):
     """Open-code one SEND: monomorphic probe + inlined call action;
     every other outcome reuses the threaded handler's cold halves.
 
@@ -761,7 +580,7 @@ def _send_core(c, insn, resume, base):
     the far side.
     """
     dst, recv, arg_regs = insn[3], insn[5], insn[6]
-    insn_k = c.konst(*base)
+    insn_k = c.konst(i)
     recv_e = c.rd(recv)
     c.flush(c.live_in[resume].union(arg_regs), clear=True)
     # The dispatch ladder is open-coded only in raw-speed mode: with
@@ -770,12 +589,12 @@ def _send_core(c, insn, resume, base):
     # a PIC-off build.
     lean = c.pic and not c.counters and not c.profiling
     if lean:
-        site = c.site_local(base + (7,))
+        site = c.site_local((i, 7))
         c.w(f"_recv = {recv_e}")
     else:
         c.w(f"frame.pc = {resume}")
         c.w(f"_recv = {recv_e}")
-        c.w(f"_site = {c.konst(*(base + (7,)))}")
+        c.w(f"_site = {c.konst(i, 7)}")
         site = "_site"
     # map_of(SelfObject) is exactly ``value.map``; everything else
     # (ints, floats, blocks, vectors, ...) takes the cold call.
@@ -845,21 +664,20 @@ def _send_core(c, insn, resume, base):
         # and re-overflows).  The specialization bakes in this site's
         # state, so the factory is guarded on the site object: a share
         # clone with a colder site re-emits instead of reusing.
-        site_obj = extract_constant(c.threaded, base + (7,))
+        site_obj = c.threaded[i][7]
         if getattr(site_obj, "mega", None) is not None:
-            c.guard(base + (7,), site_obj)
-            if c.mru:
-                # MRU promotion keeps the mono probe even in
-                # table-first emission: the table hit below re-installs
-                # its row here, so a skewed distribution's dominant
-                # receiver pays one identity compare per send and the
-                # table is only consulted when the receiver changes.
-                c.w(f"if {site}.cached_map is _rm:")
-                c.depth += 1
-                c.w(f"_act = {site}.cached_action")
-                c.depth -= 1
-                c.w("else:")
-                c.depth += 1
+            c.guard((i, 7), site_obj)
+            # MRU promotion keeps the mono probe even in table-first
+            # emission: the table hit below re-installs its row here,
+            # so a skewed distribution's dominant receiver pays one
+            # identity compare per send and the table is only
+            # consulted when the receiver changes.
+            c.w(f"if {site}.cached_map is _rm:")
+            c.depth += 1
+            c.w(f"_act = {site}.cached_action")
+            c.depth -= 1
+            c.w("else:")
+            c.depth += 1
             c.w(f"_mega = {site}.mega")
             c.w("if _mega is not None:")
             c.depth += 1
@@ -872,21 +690,17 @@ def _send_core(c, insn, resume, base):
             c.w(f"frame.pc = {resume}")
             c.w(f"_act = _send_miss(vm, _recv, {site}, {insn_k})")
             c.depth -= 1
-            if c.mru:
-                c.w("else:")
-                c.depth += 1
-                c.w(f"{site}.cached_map_id = _rm.map_id")
-                c.w(f"{site}.cached_map = _rm")
-                c.w(f"{site}.cached_action = _act")
-                c.depth -= 1
-            c.depth -= 1
+            c.w("else:")
+            c.depth += 1
+            c.w(f"{site}.cached_map_id = _rm.map_id")
+            c.w(f"{site}.cached_map = _rm")
+            c.w(f"{site}.cached_action = _act")
+            c.depth -= 2
             c.w("else:")
             c.depth += 1
             c.w(f"frame.pc = {resume}")
             c.w(f"_act = _send_miss(vm, _recv, {site}, {insn_k})")
-            c.depth -= 1
-            if c.mru:
-                c.depth -= 1
+            c.depth -= 2
         else:
             c.w(f"if {site}.cached_map is _rm:")
             c.depth += 1
@@ -909,15 +723,13 @@ def _send_core(c, insn, resume, base):
             c.w(f"frame.pc = {resume}")
             c.w(f"_act = _send_miss(vm, _recv, {site}, {insn_k})")
             c.depth -= 1
-            if c.mru:
-                # MRU: promote the table hit into the mono entry.
-                c.w("else:")
-                c.depth += 1
-                c.w(f"{site}.cached_map_id = _rm.map_id")
-                c.w(f"{site}.cached_map = _rm")
-                c.w(f"{site}.cached_action = _act")
-                c.depth -= 1
-            c.depth -= 1
+            # MRU: promote the table hit into the mono entry.
+            c.w("else:")
+            c.depth += 1
+            c.w(f"{site}.cached_map_id = _rm.map_id")
+            c.w(f"{site}.cached_map = _rm")
+            c.w(f"{site}.cached_action = _act")
+            c.depth -= 2
             c.w("else:")
             c.depth += 1
             c.w("_act = None")
@@ -1066,7 +878,7 @@ def _trampoline(c):
     c.depth -= 1
 
 
-def _primcall_core(c, insn, nxt, base, variant):
+def _primcall_core(c, insn, i, nxt, variant):
     """PRIMCALL and its allocation-costed variants (clone / newvec)."""
     dst, recv, arg_regs = insn[3], insn[5], insn[6]
     err, fail, selector = insn[7], insn[8], insn[9]
@@ -1092,7 +904,7 @@ def _primcall_core(c, insn, nxt, base, variant):
         c.depth += 1
         c.w(f"_cyc += int(len(_recv.elements) * {insn[10]!r})")
         c.depth -= 1
-    fn_k = c.konst(*(base + (4,)))
+    fn_k = c.konst(i, 4)
     # The fail edge sees registers as they were before the call (the
     # destination was never written), so the except arm is emitted
     # against the pre-store snapshot: its ``goto`` re-materializes
@@ -1129,12 +941,19 @@ def _em_move(c, insn, i, nxt):
 
 
 def _em_loadk(c, insn, i, nxt):
-    _loadk(c, (i,), insn[3], 4)
+    value = c.operand(i, 4)
+    c.w(f"{c.wr(insn[3])} = {value}")
 
 
 def _make_cmp(sym):
     def _em(c, insn, i, nxt):
-        _cmp(c, sym, insn[3], insn[4], insn[5])
+        # ``not (a < b)`` rather than ``a >= b``: exact for unordered
+        # operands (guest floats), mirroring the handler's conditional.
+        a_e, b_e = c.rd(insn[3]), c.rd(insn[4])
+        c.w(f"if not ({a_e} {sym} {b_e}):")
+        c.depth += 1
+        c.goto(insn[5])
+        c.depth -= 1
 
     return _em
 
@@ -1148,8 +967,24 @@ def _make_arith(sym):
 
 
 def _make_arith_ov(sym):
+    """ADD_OV/SUB_OV/MUL_OV."""
+
     def _em(c, insn, i, nxt):
-        _arith_ov(c, sym, insn[3], insn[4], insn[5], insn[6], insn[7])
+        a_e, b_e = c.rd(insn[4]), c.rd(insn[5])
+        c.w(f"_t = {a_e} {sym} {b_e}")
+        c.w(f"if {SMALLINT_MIN} <= _t <= {SMALLINT_MAX}:")
+        c.depth += 1
+        pre = c.snapshot()
+        c.w(f"{c.wr(insn[3])} = _t")
+        c.depth -= 1
+        post = c.snapshot()
+        c.restore(pre)
+        c.w("else:")
+        c.depth += 1
+        c.w(f"{c.wr(insn[6])} = 'overflowError'")
+        c.goto(insn[7])
+        c.depth -= 1
+        c.restore(post)
 
     return _em
 
@@ -1210,11 +1045,22 @@ def _make_div_mod(sym, selector):
 
 
 def _em_typetest(c, insn, i, nxt):
-    _typetest(c, (i,), insn[3], 4, insn[5])
+    c.w(f"if {_map_mismatch(c, i, insn[3], 4)}:")
+    c.depth += 1
+    c.goto(insn[5])
+    c.depth -= 1
 
 
 def _em_bounds(c, insn, i, nxt):
-    _bounds(c, insn[3], insn[4], insn[5])
+    idx_e, arr_e = c.rd(insn[4]), c.rd(insn[3])
+    c.w(f"_i = {idx_e}")
+    c.w(
+        f"if type(_i) is not int or _i < 0 "
+        f"or _i >= len({arr_e}.elements):"
+    )
+    c.depth += 1
+    c.goto(insn[5])
+    c.depth -= 1
 
 
 def _em_aload(c, insn, i, nxt):
@@ -1233,21 +1079,21 @@ def _em_alen(c, insn, i, nxt):
 
 def _em_loadslot(c, insn, i, nxt):
     obj_e = c.rd(insn[4])
-    c.w(f"{c.wr(insn[3])} = {obj_e}.data[{c.operand((i,), 5)}]")
+    c.w(f"{c.wr(insn[3])} = {obj_e}.data[{c.operand(i, 5)}]")
 
 
 def _em_storeslot(c, insn, i, nxt):
-    c.w(f"{c.rd(insn[3])}.data[{c.operand((i,), 4)}] = {c.rd(insn[5])}")
+    c.w(f"{c.rd(insn[3])}.data[{c.operand(i, 4)}] = {c.rd(insn[5])}")
 
 
 def _em_env_load(c, insn, i, nxt):
-    key = c.operand((i,), 4)
+    key = c.operand(i, 4)
     c.w(f"{c.wr(insn[3])} = vm._env_load(frame, {key})")
 
 
 def _em_env_store(c, insn, i, nxt):
     val_e = c.rd(insn[4])
-    c.w(f"vm._env_store(frame, {c.operand((i,), 3)}, {val_e})")
+    c.w(f"vm._env_store(frame, {c.operand(i, 3)}, {val_e})")
 
 
 def _em_make_block(c, insn, i, nxt):
@@ -1266,7 +1112,24 @@ def _em_jump(c, insn, i, nxt):
 
 
 def _em_return(c, insn, i, nxt):
-    _return_protocol(c, insn[3])
+    # The frame is finished: deferred stores die with it, only the
+    # result register is read (substituted).  The caller's own
+    # ``regs[ret_reg]`` write is physical in both tiers.
+    src_e = c.rd(insn[3])
+    c.w(f"_t = {src_e}")
+    c.w("frame.alive = False")
+    c.w("_F.pop()")
+    c.w("vm._ret_value = _t")
+    c.w("if _F:")
+    c.depth += 1
+    c.w("_r = frame.ret_reg")
+    c.w("if _r >= 0:")
+    c.depth += 1
+    # A frame at a run-segment boundary always has ret_reg -1, so this
+    # never writes into an outer segment's frame (see _do_return).
+    c.w("_F[-1].regs[_r] = _t")
+    c.depth -= 2
+    c.w("return -1")
     return True
 
 
@@ -1300,124 +1163,11 @@ def _em_error(c, insn, i, nxt):
     return True
 
 
-def _em_send(c, insn, i, nxt):
-    _send_core(c, insn, nxt, (i,))
-
-
 def _make_primcall(variant):
     def _em(c, insn, i, nxt):
-        _primcall_core(c, insn, nxt, (i,), variant)
+        _primcall_core(c, insn, i, nxt, variant)
 
     return _em
-
-
-# -- fused pairs ------------------------------------------------------------
-
-
-def _em_f_move_move(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    c.defer_move(insn[5], insn[6])
-
-
-def _em_f_move_move_move(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    c.defer_move(insn[5], insn[6])
-    c.defer_move(insn[7], insn[8])
-
-
-def _em_f_move_loadk(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    _loadk(c, (i,), insn[5], 6)
-
-
-def _em_f_loadk_move(c, insn, i, nxt):
-    _loadk(c, (i,), insn[3], 4)
-    c.defer_move(insn[5], insn[6])
-
-
-def _em_f_move_typetest(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    _typetest(c, (i,), insn[5], 6, insn[7])
-
-
-def _em_f_loadk_typetest(c, insn, i, nxt):
-    _loadk(c, (i,), insn[3], 4)
-    _typetest(c, (i,), insn[5], 6, insn[7])
-
-
-def _em_f_typetest_move(c, insn, i, nxt):
-    _typetest(c, (i,), insn[3], 4, insn[5], refund_cycles=insn[-1])
-    c.defer_move(insn[6], insn[7])
-
-
-def _em_f_typetest_typetest(c, insn, i, nxt):
-    _typetest(c, (i,), insn[3], 4, insn[5], refund_cycles=insn[-1])
-    _typetest(c, (i,), insn[6], 7, insn[8])
-
-
-def _em_f_typetest_bounds(c, insn, i, nxt):
-    _typetest(c, (i,), insn[3], 4, insn[5], refund_cycles=insn[-1])
-    _bounds(c, insn[6], insn[7], insn[8])
-
-
-def _em_f_bounds_aload(c, insn, i, nxt):
-    _bounds(c, insn[3], insn[4], insn[5], refund_cycles=insn[-1])
-    arr_e, idx_e = c.rd(insn[7]), c.rd(insn[8])
-    c.w(f"{c.wr(insn[6])} = {arr_e}.elements[{idx_e}]")
-
-
-def _em_f_bounds_astore(c, insn, i, nxt):
-    _bounds(c, insn[3], insn[4], insn[5], refund_cycles=insn[-1])
-    c.w(f"{c.rd(insn[6])}.elements[{c.rd(insn[7])}] = {c.rd(insn[8])}")
-
-
-def _em_f_move_jump(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    c.goto(insn[5])
-    return True
-
-
-def _em_f_addov_move(c, insn, i, nxt):
-    _arith_ov(
-        c, "+", insn[3], insn[4], insn[5], insn[6], insn[7],
-        second=(insn[8], insn[9]), refund_cycles=insn[-1],
-    )
-
-
-def _em_f_subov_move(c, insn, i, nxt):
-    _arith_ov(
-        c, "-", insn[3], insn[4], insn[5], insn[6], insn[7],
-        second=(insn[8], insn[9]), refund_cycles=insn[-1],
-    )
-
-
-def _em_f_loadk_addov(c, insn, i, nxt):
-    _loadk(c, (i,), insn[3], 4)
-    _arith_ov(c, "+", insn[5], insn[6], insn[7], insn[8], insn[9])
-
-
-def _em_f_loadslot_move(c, insn, i, nxt):
-    obj_e = c.rd(insn[4])
-    c.w(f"{c.wr(insn[3])} = {obj_e}.data[{c.operand((i,), 5)}]")
-    c.defer_move(insn[6], insn[7])
-
-
-def _em_f_move_return(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    _return_protocol(c, insn[5])
-    return True
-
-
-def _em_f_move_send(c, insn, i, nxt):
-    c.defer_move(insn[3], insn[4])
-    _send_core(c, insn[5], nxt, (i, 5))
-
-
-def _em_f_typetest_send(c, insn, i, nxt):
-    # The embedded SEND's static cost (insn[6][1]) is the refund when
-    # the type test branches away (mirrors _f_typetest_send).
-    _typetest(c, (i,), insn[3], 4, insn[5], refund_cycles=insn[6][1])
-    _send_core(c, insn[6], nxt, (i, 6))
 
 
 _EMITTERS = {
@@ -1457,25 +1207,6 @@ _EMITTERS = {
     _do_primcall: _make_primcall("plain"),
     _do_primcall_clone: _make_primcall("clone"),
     _do_primcall_newvec: _make_primcall("newvec"),
-    _f_move_move: _em_f_move_move,
-    _f_move_move_move: _em_f_move_move_move,
-    _f_move_loadk: _em_f_move_loadk,
-    _f_loadk_move: _em_f_loadk_move,
-    _f_move_typetest: _em_f_move_typetest,
-    _f_loadk_typetest: _em_f_loadk_typetest,
-    _f_typetest_move: _em_f_typetest_move,
-    _f_typetest_typetest: _em_f_typetest_typetest,
-    _f_typetest_bounds: _em_f_typetest_bounds,
-    _f_bounds_aload: _em_f_bounds_aload,
-    _f_bounds_astore: _em_f_bounds_astore,
-    _f_move_jump: _em_f_move_jump,
-    _f_addov_move: _em_f_addov_move,
-    _f_subov_move: _em_f_subov_move,
-    _f_loadk_addov: _em_f_loadk_addov,
-    _f_loadslot_move: _em_f_loadslot_move,
-    _f_move_return: _em_f_move_return,
-    _f_move_send: _em_f_move_send,
-    _f_typetest_send: _em_f_typetest_send,
 }
 
 _LIVE_SPECS = {
@@ -1515,56 +1246,26 @@ _LIVE_SPECS = {
     _do_primcall: _lv_primcall,
     _do_primcall_clone: _lv_primcall,
     _do_primcall_newvec: _lv_primcall,
-    _f_move_move: _lv_f_move_move,
-    _f_move_move_move: _lv_f_move_move_move,
-    _f_move_loadk: _lv_f_move_loadk,
-    _f_loadk_move: _lv_f_loadk_move,
-    _f_move_typetest: _lv_f_move_typetest,
-    _f_loadk_typetest: _lv_f_loadk_typetest,
-    _f_typetest_move: _lv_f_typetest_move,
-    _f_typetest_typetest: _lv_f_typetest_typetest,
-    _f_typetest_bounds: _lv_f_typetest_bounds,
-    _f_bounds_aload: _lv_f_bounds_aload,
-    _f_bounds_astore: _lv_f_bounds_astore,
-    _f_move_jump: _lv_f_move_jump,
-    _f_addov_move: _lv_f_addov_move,
-    _f_subov_move: _lv_f_addov_move,
-    _f_loadk_addov: _lv_f_loadk_addov,
-    _f_loadslot_move: _lv_f_loadslot_move,
-    _f_move_return: _lv_f_move_return,
-    _f_move_send: _lv_f_move_send,
-    _f_typetest_send: _lv_f_typetest_send,
 }
 
 assert set(_LIVE_SPECS) == set(_EMITTERS), "liveness specs out of sync"
 
-#: handler -> operand positions holding branch targets (stream indices)
-_TARGET_POSITIONS = {
-    _do_cmp_lt: (5,), _do_cmp_le: (5,), _do_cmp_gt: (5,),
-    _do_cmp_ge: (5,), _do_cmp_eq: (5,), _do_cmp_ne: (5,),
-    _do_add_ov: (7,), _do_sub_ov: (7,), _do_mul_ov: (7,),
-    _do_div_ov: (7,), _do_mod_ov: (7,),
-    _do_typetest: (5,), _do_bounds: (5,), _do_jump: (3,),
-    _f_move_typetest: (7,), _f_loadk_typetest: (7,),
-    _f_typetest_move: (5,), _f_typetest_typetest: (5, 8),
-    _f_typetest_bounds: (5, 8),
-    _f_bounds_aload: (5,), _f_bounds_astore: (5,),
-    _f_move_jump: (5,),
-    _f_addov_move: (7,), _f_subov_move: (7,), _f_loadk_addov: (9,),
-    _f_typetest_send: (5,),
+#: handler -> operand position of its branch target (an instruction
+#: index; the primcall family's fail target is -1 when it cannot fail)
+_TARGET_POSITION = {
+    _do_cmp_lt: 5, _do_cmp_le: 5, _do_cmp_gt: 5,
+    _do_cmp_ge: 5, _do_cmp_eq: 5, _do_cmp_ne: 5,
+    _do_add_ov: 7, _do_sub_ov: 7, _do_mul_ov: 7,
+    _do_div_ov: 7, _do_mod_ov: 7,
+    _do_typetest: 5, _do_bounds: 5, _do_jump: 3,
+    _do_primcall: 8, _do_primcall_clone: 8, _do_primcall_newvec: 8,
 }
-
-#: handlers that suspend the frame (a callee may be pushed); the frame
-#: resumes at the following stream index, which must head a label
-_SUSPENDING_HANDLERS = {_do_send, _f_move_send, _f_typetest_send}
-
-#: primcall family: operand 8 is the fail target (or -1 for none)
-_PRIMCALL_HANDLERS = {_do_primcall, _do_primcall_clone, _do_primcall_newvec}
 
 
 def _collect_labels(threaded) -> tuple[set[int], set[int]]:
     """``(labels, resumes)``: dispatch labels (entry + branch targets)
-    and the resume indices after suspending SEND-family instructions.
+    and the resume indices after SENDs, which suspend the frame when
+    they push a callee.
 
     A resume index that is *also* a branch target stays a dispatch
     label; the rest are fused into their leaf — the send's trampoline
@@ -1574,19 +1275,17 @@ def _collect_labels(threaded) -> tuple[set[int], set[int]]:
     labels = {0}
     resumes = set()
     for i, insn in enumerate(threaded):
-        handler = insn[0]
-        for pos in _TARGET_POSITIONS.get(handler, ()):
+        pos = _TARGET_POSITION.get(insn[0])
+        if pos is not None and insn[pos] >= 0:
             labels.add(insn[pos])
-        if handler in _PRIMCALL_HANDLERS and insn[8] >= 0:
-            labels.add(insn[8])
-        if handler in _SUSPENDING_HANDLERS:
+        if insn[0] is _do_send:
             resumes.add(i + 1)
     return labels, resumes - labels
 
 
 def emit_source(
     threaded, counters: bool, universe=None, profiling: bool = False,
-    pic: bool = False, mru: bool = True,
+    pic: bool = False,
 ) -> tuple:
     """Generate the factory source for one threaded stream.
 
@@ -1622,7 +1321,6 @@ def emit_source(
     # whatever is live there.
     c = _Ctx(
         threaded, counters, universe, live_in, profiling=profiling, pic=pic,
-        mru=mru,
     )
     blocks: dict[int, list[str]] = {}
     closed = True
@@ -1631,7 +1329,9 @@ def emit_source(
             if not closed:
                 # Fallthrough into the label: emitted while ``cur`` is
                 # still the previous index, so it reads as the forward
-                # transfer it is (never a branch tick).
+                # transfer it is (never a branch tick).  The block ends
+                # here, so it pays any MOVE/LOADK cost still carried.
+                c.flush_charge()
                 c.goto(i)
             c.lines = blocks[i] = []
             c.depth = 0

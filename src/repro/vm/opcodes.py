@@ -98,9 +98,3 @@ BRANCH_OPERANDS = {
 #: instruction stream position after one of these is only reachable as a
 #: branch target.
 NO_FALLTHROUGH = frozenset({JUMP, RETURN, NLR, ERROR})
-
-#: opcodes that may suspend the current frame mid-instruction (a callee
-#: frame is pushed and this frame later resumes at ``frame.pc``).  They
-#: can never be the *first* half of a fused superinstruction: resuming
-#: after the call would skip the second half.
-SUSPENDING = frozenset({SEND})

@@ -18,8 +18,7 @@ predecoded into ``(handler, cycles, count, ...operands)`` tuples (see
 integer adds, and one call per dispatch — no ``if/elif`` opcode walk,
 no per-instruction cost-model lookup.  Every executed instruction still
 adds its cost-model cycles to ``runtime.cycles`` — the deterministic
-stand-in for the paper's wall-clock measurements — and superinstruction
-fusion is invisible to it by construction.
+stand-in for the paper's wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -133,16 +132,6 @@ class Runtime:
         self.pic_depth = max(
             1, int(os.environ.get("REPRO_PIC_DEPTH", "4") or 4)
         )
-        self.mega_table_enabled = (
-            os.environ.get("REPRO_MEGA_TABLE", "1") != "0"
-        )
-        #: MRU promotion (REPRO_PIC_MRU, default on): a megamorphic-table
-        #: hit in the translated lean path re-installs that row as the
-        #: site's mono entry, so a skewed receiver distribution pays the
-        #: table probe once per dominant-receiver run instead of on
-        #: every send.  The interpreter path has always done this
-        #: (_pic_hit); the knob gates the lean open-coded emission.
-        self.pic_mru = os.environ.get("REPRO_PIC_MRU", "1") != "0"
         #: per-selector megamorphic dispatch tables (map_id -> action),
         #: shared by every overflowed site of this runtime so hostile
         #: polymorphism warms each selector once, plus the parallel
@@ -207,7 +196,6 @@ class Runtime:
             self, self.modeled_counters,
             profiling=self.profiler is not None,
             pic=self.pic_enabled,
-            mru=self.pic_mru,
         )
         #: translate.* observability counters (surfaced by obs/metrics.py)
         self.translate_stats = {
@@ -384,24 +372,14 @@ class Runtime:
         return totals
 
     def aggregate_dispatch_stats(self) -> dict:
-        """Predecode/superinstruction accounting over every compiled body."""
-        from .dispatch import superinstruction_stats
-
-        totals = {
-            "compiled_bodies": 0,
-            "threaded_slots": 0,
-            "superinstructions_fused": 0,
-            "instructions_absorbed": 0,
-        }
+        """Predecode accounting over every compiled body."""
+        totals = {"compiled_bodies": 0, "threaded_slots": 0}
         for code in self.iter_compiled_codes():
             threaded = getattr(code, "threaded", None)
             if threaded is None:
                 continue
-            stats = superinstruction_stats(threaded)
             totals["compiled_bodies"] += 1
-            totals["threaded_slots"] += stats["slots"]
-            totals["superinstructions_fused"] += stats["fused"]
-            totals["instructions_absorbed"] += stats["absorbed"]
+            totals["threaded_slots"] += len(threaded)
         return totals
 
     def observed_fanout(self) -> dict:

@@ -11,7 +11,8 @@ Python function for the whole predecoded stream (:mod:`.emit`),
 Contracts the tier keeps:
 
 * **Fallback is always safe.**  Labels in the translated function are
-  threaded-stream indices, so ``frame.pc`` is valid in both tiers and
+  instruction indices (the threaded stream is index-aligned with
+  ``Code.insns``), so ``frame.pc`` is valid in both tiers and
   the deopt PC mapping is the identity.  When invalidation retires a
   translation (``code.translated = False``), live frames simply resume
   on the predecoded stream at their next activation boundary; the
@@ -52,11 +53,10 @@ class _FactoryEntry:
     host may reuse once the original list is collected.
     """
 
-    __slots__ = ("insns", "n_threaded", "factory", "paths", "guards")
+    __slots__ = ("insns", "factory", "paths", "guards")
 
-    def __init__(self, insns, n_threaded, factory, paths, guards) -> None:
+    def __init__(self, insns, factory, paths, guards) -> None:
         self.insns = insns
-        self.n_threaded = n_threaded
         self.factory = factory
         self.paths = paths
         #: well-known-map identities baked into the source; a clone may
@@ -69,12 +69,12 @@ class Translator:
     """Per-runtime translation service (owned by ``Runtime``)."""
 
     __slots__ = (
-        "runtime", "counters", "profiling", "pic", "mru", "_factories",
+        "runtime", "counters", "profiling", "pic", "_factories",
     )
 
     def __init__(
         self, runtime, counters: bool, profiling: bool = False,
-        pic: bool = False, mru: bool = True,
+        pic: bool = False,
     ) -> None:
         self.runtime = runtime
         #: compile modeled-counter accounting into the generated source
@@ -89,8 +89,6 @@ class Translator:
         #: in generated sends (REPRO_PIC); off keeps the emission
         #: byte-identical to a build without the ladder
         self.pic = pic
-        #: MRU promotion in lean sends (REPRO_PIC_MRU; see vm/emit.py)
-        self.mru = mru
         self._factories: dict[int, _FactoryEntry] = {}
 
     def translate(self, code) -> Optional[object]:
@@ -136,7 +134,6 @@ class Translator:
         if (
             entry is not None
             and entry.insns is code.insns
-            and entry.n_threaded == len(code.threaded)
             and all(
                 extract_constant(code.threaded, p) is v
                 for p, v in entry.guards
@@ -151,7 +148,7 @@ class Translator:
         else:
             source, paths, guards = emit_source(
                 code.threaded, self.counters, self.runtime.universe,
-                profiling=self.profiling, pic=self.pic, mru=self.mru,
+                profiling=self.profiling, pic=self.pic,
             )
             if corrupted:
                 # Injected wild write mid-emission: the source is
@@ -163,7 +160,7 @@ class Translator:
             exec(host_code, namespace)
             factory = namespace["_factory"]
             self._factories[key] = _FactoryEntry(
-                code.insns, len(code.threaded), factory, paths, guards
+                code.insns, factory, paths, guards
             )
         consts = tuple(extract_constant(code.threaded, p) for p in paths)
         return factory(consts)

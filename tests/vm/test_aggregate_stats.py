@@ -8,7 +8,6 @@ the aggregate of a known two-method program and the dedup behavior.
 from collections import Counter
 
 from repro.compiler.config import NEW_SELF
-from repro.vm.dispatch import superinstruction_stats
 from repro.vm.runtime import Runtime
 from repro.world.bootstrap import World
 
@@ -78,28 +77,11 @@ def test_iter_compiled_codes_yields_each_body_once():
     assert len(list(runtime.iter_compiled_codes())) == len(codes)
 
 
-def test_dispatch_aggregate_matches_per_code_superinstructions():
+def test_dispatch_aggregate_matches_per_code_slots():
     runtime = run_two_methods()
     dispatch = runtime.aggregate_dispatch_stats()
     assert dispatch["compiled_bodies"] == 2
-    expected = {"threaded_slots": 0, "superinstructions_fused": 0,
-                "instructions_absorbed": 0}
-    for code in runtime.iter_compiled_codes():
-        stats = superinstruction_stats(code.threaded)
-        expected["threaded_slots"] += stats["slots"]
-        expected["superinstructions_fused"] += stats["fused"]
-        expected["instructions_absorbed"] += stats["absorbed"]
-    assert {k: dispatch[k] for k in expected} == expected
-    # superinstruction fusion is active: some slots absorbed followers
-    assert dispatch["superinstructions_fused"] > 0
-    assert dispatch["instructions_absorbed"] >= dispatch["superinstructions_fused"]
-
-
-def test_superinstruction_stats_counts_fused_slots():
-    # insn[2] is the fused-run length: > 1 means the slot absorbed
-    # followers during predecode
-    threaded = [(None, (), 1), (None, (), 3), (None, (), 2)]
-    assert superinstruction_stats(threaded) == {
-        "slots": 3, "fused": 2, "absorbed": 3,
-    }
-    assert superinstruction_stats([]) == {"slots": 0, "fused": 0, "absorbed": 0}
+    # one threaded slot per architectural instruction
+    assert dispatch["threaded_slots"] == sum(
+        len(code.insns) for code in runtime.iter_compiled_codes()
+    )

@@ -1,25 +1,27 @@
-"""Predecode and superinstruction-fusion unit tests.
+"""Predecode unit tests.
 
 :func:`repro.vm.dispatch.predecode` turns the architectural instruction
 tuples into the handler-threaded stream the VM executes.  The
 invariants under test:
 
-* **conservation** — the fused stream charges exactly the same modeled
-  cycles and architectural instruction count as the unfused stream;
-* **branch safety** — an instruction some branch targets is never
-  absorbed into the middle of a superinstruction, and every branch
-  operand is remapped to the target's new index;
-* **suspension safety** — a SEND (which suspends the frame when it
-  pushes a callee) is never the first half of a superinstruction;
+* **conservation** — the threaded stream charges exactly the modeled
+  cycles and architectural instruction count of the tuple stream;
+* **alignment** — slot *i* is instruction *i*, so every branch operand
+  is its architectural target unchanged;
+* **branch safety** — a branch target outside the stream is rejected
+  at predecode, not when the branch is taken;
 * **pool resolution** — constants, IC sites, and primitive functions
   appear in the stream as the objects themselves, not as pool indices.
 """
 
 import pytest
 
+from repro.bench.base import get_benchmark
 from repro.compiler import NEW_SELF, compile_code
 from repro.lang import parse_doit
-from repro.vm import NEW_SELF_MODEL, ST80_MODEL, generate
+from repro.objects.errors import VMError
+from repro.robustness import faults
+from repro.vm import NEW_SELF_MODEL, ST80_MODEL, Runtime, generate
 from repro.vm import opcodes as op
 from repro.vm.code import InlineCacheSite
 from repro.vm.dispatch import predecode
@@ -59,79 +61,43 @@ def test_static_cycles_are_conserved(world):
     assert sum(t[1] for t in code.threaded) == expected
 
 
-def test_fusion_shortens_the_stream(world):
-    code = _compiled(world, LOOP)
-    assert len(code.threaded) < len(code.insns)
+# -- alignment --------------------------------------------------------------
 
 
-def test_fused_pair_costs_are_sums():
-    insns = [(op.MOVE, 0, 1), (op.MOVE, 1, 2), (op.RETURN, 0)]
-    threaded = predecode(insns, [], [], ST80_MODEL)
-    table = ST80_MODEL.static_cycle_table()
-    assert len(threaded) == 2
-    fused = threaded[0]
-    assert fused[0].__name__ == "_f_move_move"
-    assert fused[1] == 2 * table[op.MOVE]
-    assert fused[2] == 2
-    # operand concatenation: (dst1, src1, dst2, src2)
-    assert fused[3:7] == (0, 1, 1, 2)
+@pytest.fixture(scope="module")
+def richards_codes():
+    benchmark = get_benchmark("richards")
+    world = World()
+    world.add_slots(benchmark.setup_source)
+    runtime = Runtime(world, NEW_SELF)
+    assert runtime.run(benchmark.run_source) == benchmark.expected
+    return list(runtime.iter_compiled_codes())
 
 
-def test_triple_move_fuses_once():
-    insns = [(op.MOVE, 0, 1), (op.MOVE, 1, 2), (op.MOVE, 2, 3), (op.RETURN, 0)]
-    threaded = predecode(insns, [], [], ST80_MODEL)
-    assert len(threaded) == 2
-    assert threaded[0][0].__name__ == "_f_move_move_move"
-    assert threaded[0][2] == 3
+def test_stream_is_index_aligned_with_insns(richards_codes):
+    """Every body richards compiles predecodes to one slot per
+    instruction, and every branch operand is the architectural target
+    itself (PRIMCALL's "cannot fail" target is normalized to -1)."""
+    assert len(richards_codes) > 10
+    for code in richards_codes:
+        assert len(code.threaded) == len(code.insns)
+        for insn, slot in zip(code.insns, code.threaded):
+            assert slot[2] == 1
+            pos = op.BRANCH_OPERANDS.get(insn[0])
+            if pos is None:
+                continue
+            target = insn[pos]
+            if insn[0] == op.PRIMCALL and (target is None or target < 0):
+                target = -1
+            # operands start at index 3 in the threaded tuple
+            assert slot[pos + 2] == target
 
 
 # -- branch safety ----------------------------------------------------------
 
 
-def test_branch_target_is_never_absorbed():
-    """A JUMP into the middle of a would-be MOVE+MOVE pair blocks that
-    fusion: the target must still *head* an instruction (it may itself
-    start a superinstruction — here it fuses forward with the JUMP)."""
-    insns = [
-        (op.MOVE, 0, 1),
-        (op.MOVE, 1, 2),  # branch target: must stay addressable
-        (op.JUMP, 1),
-    ]
-    threaded = predecode(insns, [], [], ST80_MODEL)
-    assert [t[0].__name__ for t in threaded] == ["_do_move", "_f_move_jump"]
-    # The target (old index 1) heads the second stream entry, and the
-    # absorbed JUMP's operand was remapped to it.
-    assert threaded[1][5] == 1
-
-
-def test_branch_operands_are_remapped():
-    """After fusion shifts indices, branch operands point at the new
-    index of the same architectural target."""
-    insns = [
-        (op.MOVE, 0, 1),
-        (op.MOVE, 1, 2),      # fuses with the previous MOVE
-        (op.CMP_LT, 0, 1, 4), # else-branch to the RETURN below
-        (op.MOVE, 2, 3),
-        (op.RETURN, 2),       # old index 4
-    ]
-    threaded = predecode(insns, [], [], ST80_MODEL)
-    # The targeted RETURN cannot be absorbed, so the stream is
-    # [MOVE+MOVE, CMP_LT, MOVE, RETURN] and old index 4 is now 3.
-    assert [t[0].__name__ for t in threaded] == [
-        "_f_move_move", "_do_cmp_lt", "_do_move", "_do_return",
-    ]
-    cmp_insn = threaded[1]
-    assert cmp_insn[5] == 3
-
-    def next_pc(x, y):
-        regs = [x, y, 7, 9, None]
-        return cmp_insn[0](None, None, regs, cmp_insn, 2)
-
-    assert next_pc(0, 1) == 2   # condition true: fall through
-    assert next_pc(2, 1) == 3   # condition false: remapped target
-
-
 def test_every_remapped_branch_is_in_range(world):
+    """Branch operands of a compiled body stay inside the stream."""
     code = _compiled(world, LOOP)
     n = len(code.threaded)
     for t in code.threaded:
@@ -141,37 +107,20 @@ def test_every_remapped_branch_is_in_range(world):
             assert 0 <= t[5] < n
 
 
-# -- suspension safety ------------------------------------------------------
+@pytest.mark.parametrize("target", [2, 3, -1])
+def test_predecode_rejects_an_out_of_range_branch_target(target):
+    insns = [(op.JUMP, target), (op.RETURN, 0)]
+    with pytest.raises(VMError, match="outside"):
+        predecode(insns, [], [], ST80_MODEL)
 
 
-def test_send_is_never_a_first_half():
-    site = InlineCacheSite("foo")
-    insns = [
-        (op.SEND, 0, "foo", 1, (), 0),
-        (op.MOVE, 2, 0),
-        (op.RETURN, 2),
-    ]
-    threaded = predecode(insns, [], [site], ST80_MODEL)
-    assert threaded[0][0].__name__ == "_do_send"
-    # The MOVE after the SEND fused with the RETURN instead.
-    assert threaded[1][0].__name__ == "_f_move_return"
-
-
-def test_send_can_be_a_second_half():
-    site = InlineCacheSite("foo")
-    insns = [
-        (op.MOVE, 1, 2),
-        (op.SEND, 0, "foo", 1, (), 0),
-        (op.RETURN, 0),
-    ]
-    threaded = predecode(insns, [], [site], ST80_MODEL)
-    fused = threaded[0]
-    assert fused[0].__name__ == "_f_move_send"
-    # The embedded SEND keeps its own full predecoded tuple, with the
-    # site object (not the pool index) resolved in.
-    embedded = fused[5]
-    assert embedded[0].__name__ == "_do_send"
-    assert embedded[7] is site
+def test_corrupt_predecode_is_rejected():
+    insns = [(op.CMP_LT, 0, 1, 2), (op.MOVE, 0, 1), (op.RETURN, 0)]
+    assert len(predecode(insns, [], [], ST80_MODEL)) == 3
+    plan = faults.FaultPlan(site=faults.SITE_VM_PREDECODE, mode="corrupt")
+    with faults.injected(plan):
+        with pytest.raises(VMError, match="outside"):
+            predecode(insns, [], [], ST80_MODEL)
 
 
 # -- pool resolution --------------------------------------------------------

@@ -1,10 +1,10 @@
 """Golden determinism: the modeled measurements are frozen numbers.
 
-The threaded-dispatch VM (predecoded handlers, baked static cycles,
-superinstruction fusion) is a host-speed optimization only: the modeled
-quantities — cycles, architectural instruction count, compiled code
-bytes, send-cache counters — must stay *bit-identical* to the
-measurement model the tables were built on.  These goldens were
+The threaded-dispatch VM (predecoded handlers, baked static cycles)
+and the translated tier above it are host-speed optimizations only:
+the modeled quantities — cycles, architectural instruction count,
+compiled code bytes, send-cache counters — must stay *bit-identical*
+to the measurement model the tables were built on.  These goldens were
 recorded from the pre-threading interpreter; any drift here means the
 cost model became observable through an execution-engine change, which
 is a correctness bug, not a tuning tradeoff.

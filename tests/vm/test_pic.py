@@ -47,12 +47,10 @@ def world():
     return w
 
 
-def make_runtime(world, monkeypatch, pic="1", depth=None, mega=None):
+def make_runtime(world, monkeypatch, pic="1", depth=None):
     monkeypatch.setenv("REPRO_PIC", pic)
     if depth is not None:
         monkeypatch.setenv("REPRO_PIC_DEPTH", depth)
-    if mega is not None:
-        monkeypatch.setenv("REPRO_MEGA_TABLE", mega)
     return Runtime(world, NEW_SELF)
 
 
@@ -79,10 +77,9 @@ def test_ladder_is_off_by_default(world, monkeypatch):
 
 
 def test_env_knobs(world, monkeypatch):
-    rt = make_runtime(world, monkeypatch, depth="2", mega="0")
+    rt = make_runtime(world, monkeypatch, depth="2")
     assert rt.pic_enabled
     assert rt.pic_depth == 2
-    assert not rt.mega_table_enabled
     monkeypatch.setenv("REPRO_PIC_DEPTH", "0")  # clamped to >= 1
     assert Runtime(world, NEW_SELF).pic_depth == 1
 
@@ -131,17 +128,6 @@ def test_pic_depth_bounds_the_rows(world, monkeypatch):
     # fan-out 4 > depth 2: already megamorphic at the lower depth
     assert rt.mega_transitions >= 1
     assert len(rt.mega_tables["tag"]) == 4
-
-
-def test_mega_table_can_be_disabled(world, monkeypatch):
-    rt = make_runtime(world, monkeypatch, mega="0")
-    assert rt.run("tagSum: 6") == ANSWERS[6]
-    for site in tag_sites(rt):
-        assert site.mega is None
-        assert site.pic is not None
-        assert len(site.pic) <= rt.pic_depth  # extra maps keep relinking
-    assert rt.mega_transitions == 0
-    assert rt.mega_tables == {}
 
 
 # -- the accounting-identity invariant -------------------------------------

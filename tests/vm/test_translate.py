@@ -26,7 +26,10 @@ from repro.compiler import NEW_SELF
 from repro.objects import NonLocalReturnFromDeadActivation
 from repro.robustness import faults
 from repro.robustness.faults import SITE_VM_TRANSLATE, FaultPlan
-from repro.vm import Runtime
+from repro.vm import ST80_MODEL, Runtime
+from repro.vm import opcodes as op
+from repro.vm.dispatch import predecode
+from repro.vm.emit import emit_source
 from repro.world import World
 
 from .test_golden_determinism import GOLDEN
@@ -251,3 +254,36 @@ def test_translation_survives_repeated_steady_state(forced, fresh_world):
     for i in range(6):
         assert rt.call(w.lobby, "sq:", [i]) == i * i
     assert rt.translate_stats["translated"] == emitted_once
+
+
+def _charges(source):
+    return [
+        line.strip() for line in source.splitlines()
+        if line.strip().startswith(("_cyc +=", "_n +="))
+    ]
+
+
+def test_move_chain_costs_one_charge_statement():
+    """With counters on, a MOVE/LOADK run is charged by the next charge
+    statement of its block, and a fallthrough into a label pays what is
+    still carried; the per-block totals are the threaded loop's."""
+    cyc = ST80_MODEL.static_cycle_table()
+    insns = [
+        (op.CMP_LT, 0, 1, 6),  # else-branch to the label at 6
+        (op.MOVE, 2, 0),
+        (op.MOVE, 3, 2),
+        (op.LOADK, 4, 0),
+        (op.ADD, 5, 3, 4),
+        (op.MOVE, 6, 5),       # falls through into the label at 6
+        (op.RETURN, 6),
+    ]
+    threaded = predecode(insns, [7], [], ST80_MODEL)
+    source, _, _ = emit_source(threaded, counters=True)
+    run = 2 * cyc[op.MOVE] + cyc[op.LOADK] + cyc[op.ADD]
+    assert _charges(source) == [
+        f"_cyc += {cyc[op.CMP_LT]}; _n += 1",
+        f"_cyc += {run}; _n += 4",
+        f"_cyc += {cyc[op.MOVE]}; _n += 1",
+        f"_cyc += {cyc[op.RETURN]}; _n += 1",
+    ]
+    assert _charges(emit_source(threaded, counters=False)[0]) == []
